@@ -117,8 +117,8 @@ func TestDocsSchemeTableMatchesRegistries(t *testing.T) {
 
 // TestDocsPerfSuiteMatchesRegistry diffs the Performance section of
 // EXPERIMENTS.md against the live perf registry: every benchmark spec
-// must be documented, and the section must describe the artifact and the
-// gate's escape hatch.
+// must be documented, and the section must describe the artifact, the
+// gate's escape hatch and the exact-inference bit-identity contract.
 func TestDocsPerfSuiteMatchesRegistry(t *testing.T) {
 	experiments := readDoc(t, "EXPERIMENTS.md")
 	if !strings.Contains(experiments, "## Performance") {
@@ -129,7 +129,8 @@ func TestDocsPerfSuiteMatchesRegistry(t *testing.T) {
 			t.Errorf("EXPERIMENTS.md does not document perf spec `%s`", s.Name)
 		}
 	}
-	for _, token := range []string{"BENCH.json", "BENCH_baseline.json", "facs-bench", "bench-override", "BENCH_GATE"} {
+	for _, token := range []string{"BENCH.json", "BENCH_baseline.json", "facs-bench", "bench-override", "BENCH_GATE",
+		"### Exact inference", "TestExactInferenceBitIdentical"} {
 		if !strings.Contains(experiments, token) {
 			t.Errorf("EXPERIMENTS.md Performance section does not mention %s", token)
 		}
@@ -208,8 +209,9 @@ func TestDocsMetricsFamiliesDocumented(t *testing.T) {
 // assert script consistent: the serving smoke must call
 // scripts/ci-smoke-asserts.sh (not re-inlined one-liners), the script
 // must exist, be executable and implement every subcommand the workflow
-// invokes, and the leaderboard job, run cancellation and staticcheck
-// binary cache must stay wired.
+// invokes, and the leaderboard job, run cancellation, staticcheck binary
+// cache and non-race allocation-gate and bit-identity step must stay
+// wired.
 func TestDocsCIWorkflowWiring(t *testing.T) {
 	ci := readDoc(t, ".github/workflows/ci.yml")
 	for _, token := range []string{
@@ -218,6 +220,7 @@ func TestDocsCIWorkflowWiring(t *testing.T) {
 		"-gate",
 		"cancel-in-progress: true",
 		"staticcheck-cache",
+		"go test -count=1 -run 'AllocFree|TestExactInferenceBitIdentical' ./...",
 	} {
 		if !strings.Contains(ci, token) {
 			t.Errorf("ci.yml does not contain %q", token)

@@ -113,17 +113,6 @@ func (c PConfig) validate() error {
 	return nil
 }
 
-func (c PConfig) engineOptions() []fuzzy.Option {
-	var opts []fuzzy.Option
-	if c.Defuzzifier != nil {
-		opts = append(opts, fuzzy.WithDefuzzifier(c.Defuzzifier))
-	}
-	if c.Samples > 0 {
-		opts = append(opts, fuzzy.WithSamples(c.Samples))
-	}
-	return opts
-}
-
 // FACSP is the paper's proposed system: FACS extended with the priority of
 // on-going connections. It implements cac.Controller and is safe for
 // concurrent use.
@@ -151,13 +140,9 @@ func NewFACSP(cfg PConfig) (*FACSP, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	flc1, err := NewFLC1(cfg.engineOptions()...)
+	flc1, flc2, err := enginePair(cfg.Samples, cfg.Defuzzifier)
 	if err != nil {
-		return nil, fmt.Errorf("core: building FLC1: %w", err)
-	}
-	flc2, err := NewFLC2(cfg.engineOptions()...)
-	if err != nil {
-		return nil, fmt.Errorf("core: building FLC2: %w", err)
+		return nil, err
 	}
 	f := &FACSP{flc1: flc1, flc2: flc2, cfg: cfg}
 	if cfg.SurfaceResolution > 0 {

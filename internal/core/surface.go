@@ -15,12 +15,14 @@ import (
 // Config.SurfaceResolution and PConfig.SurfaceResolution).
 const DefaultSurfaceResolution = fuzzy.DefaultSurfaceResolution
 
-// surfaceKey identifies one shareable compiled surface. The paper's FLC1
-// and FLC2 are static rule bases, so two controllers with the same
-// resolution, integration density and defuzzifier value produce
-// bit-identical surfaces; compiling once per process and sharing the
-// immutable result is what keeps per-cell controller construction cheap in
-// the experiment runner (thousands of controllers per sweep).
+// surfaceKey identifies one shareable compiled stage of the paper's
+// controllers: an FLC engine (resolution 0) or its decision surface at a
+// positive resolution. FLC1 and FLC2 are static rule bases, so two
+// controllers with the same resolution, integration density and
+// defuzzifier value compile bit-identical engines and surfaces; compiling
+// once per process and sharing the immutable result is what keeps
+// per-cell controller construction cheap in the experiment runner
+// (thousands of controllers per sweep).
 type surfaceKey struct {
 	engine     string
 	resolution int
@@ -39,8 +41,8 @@ var surfaceCache = struct {
 
 // surfaceCacheHits / surfaceCacheMisses count compileSurface lookups that
 // found (or had to create) a shared surface entry; a miss is one real
-// surface compilation per process. Exposed as process-wide scalar
-// families in the /metrics exposition.
+// surface compilation per process. Engine lookups are not counted.
+// Exposed as process-wide scalar families in the /metrics exposition.
 var surfaceCacheHits, surfaceCacheMisses atomic.Uint64
 
 func init() {
@@ -58,10 +60,29 @@ func SurfaceCacheCounters() (hits, misses uint64) {
 	return surfaceCacheHits.Load(), surfaceCacheMisses.Load()
 }
 
+// surfaceEntry is one cached stage: the engine when the key's resolution
+// is 0, the surface otherwise.
 type surfaceEntry struct {
 	once sync.Once
+	e    *fuzzy.Engine
 	s    *fuzzy.Surface
 	err  error
+}
+
+// sharedEntry returns the cache entry for key, reporting whether it
+// already existed, or nil when defuzz is of a non-comparable type and
+// cannot be keyed (the caller then compiles privately).
+func sharedEntry(key surfaceKey) (ent *surfaceEntry, hit bool) {
+	if key.defuzz != nil && !reflect.TypeOf(key.defuzz).Comparable() {
+		return nil, false
+	}
+	surfaceCache.mu.Lock()
+	defer surfaceCache.mu.Unlock()
+	if ent, hit = surfaceCache.m[key]; !hit {
+		ent = &surfaceEntry{}
+		surfaceCache.m[key] = ent
+	}
+	return ent, hit
 }
 
 // compileSurface compiles engine's decision surface at the given per-axis
@@ -69,25 +90,56 @@ type surfaceEntry struct {
 // by defuzzifier value; defuzzifiers of non-comparable types cannot be
 // keyed and compile privately.
 func compileSurface(e *fuzzy.Engine, resolution, samples int, defuzz fuzzy.Defuzzifier) (*fuzzy.Surface, error) {
-	if defuzz != nil && !reflect.TypeOf(defuzz).Comparable() {
-		surfaceCacheMisses.Add(1)
-		return fuzzy.NewSurface(e, resolution)
-	}
-	key := surfaceKey{engine: e.Name(), resolution: resolution, samples: samples, defuzz: defuzz}
-	surfaceCache.mu.Lock()
-	ent, ok := surfaceCache.m[key]
-	if !ok {
-		ent = &surfaceEntry{}
-		surfaceCache.m[key] = ent
-	}
-	surfaceCache.mu.Unlock()
-	if ok {
+	ent, hit := sharedEntry(surfaceKey{engine: e.Name(), resolution: resolution, samples: samples, defuzz: defuzz})
+	if hit {
 		surfaceCacheHits.Add(1)
 	} else {
 		surfaceCacheMisses.Add(1)
 	}
+	if ent == nil {
+		return fuzzy.NewSurface(e, resolution)
+	}
 	ent.once.Do(func() { ent.s, ent.err = fuzzy.NewSurface(e, resolution) })
 	return ent.s, ent.err
+}
+
+// flcEngine returns the paper's FLC1 or FLC2 (by engine name) built with
+// the given integration density and defuzzifier (nil = Centroid), shared
+// through the same cache as the surfaces under resolution 0.
+func flcEngine(name string, samples int, defuzz fuzzy.Defuzzifier) (*fuzzy.Engine, error) {
+	build := func() (*fuzzy.Engine, error) {
+		opts := []fuzzy.Option{fuzzy.WithSamples(samples)}
+		if defuzz != nil {
+			opts = append(opts, fuzzy.WithDefuzzifier(defuzz))
+		}
+		if name == "FLC1" {
+			return NewFLC1(opts...)
+		}
+		return NewFLC2(opts...)
+	}
+	ent, _ := sharedEntry(surfaceKey{engine: name, samples: samples, defuzz: defuzz})
+	if ent == nil {
+		return build()
+	}
+	ent.once.Do(func() { ent.e, ent.err = build() })
+	return ent.e, ent.err
+}
+
+// enginePair returns the FLC1/FLC2 engines of a controller configured with
+// the given integration density (non-positive: the default) and
+// defuzzifier. Engines are immutable and safe for concurrent use, so
+// every controller of one configuration shares the one pair.
+func enginePair(samples int, defuzz fuzzy.Defuzzifier) (flc1, flc2 *fuzzy.Engine, err error) {
+	if samples <= 0 {
+		samples = fuzzy.DefaultSamples
+	}
+	if flc1, err = flcEngine("FLC1", samples, defuzz); err != nil {
+		return nil, nil, fmt.Errorf("core: building FLC1: %w", err)
+	}
+	if flc2, err = flcEngine("FLC2", samples, defuzz); err != nil {
+		return nil, nil, fmt.Errorf("core: building FLC2: %w", err)
+	}
+	return flc1, flc2, nil
 }
 
 // inferScore runs the FLC1 -> FLC2 pipeline for one request, exact or
@@ -119,11 +171,11 @@ func inferScore(flc1, flc2 *fuzzy.Engine, surf1, surf2 *fuzzy.Surface,
 		}
 		return cv, score, outcome, nil
 	}
-	res, err := flc2.InferDetail(cv, bandwidth, cs)
+	score, best, err := flc2.InferBest(cv, bandwidth, cs)
 	if err != nil {
 		return 0, 0, "", fmt.Errorf("core: FLC2: %w", err)
 	}
-	return cv, res.Crisp, flc2.Output().Terms[res.BestTerm].Name, nil
+	return cv, score, flc2.Output().Terms[best].Name, nil
 }
 
 // surfacePair compiles the FLC1/FLC2 surfaces for a controller whose config

@@ -3,6 +3,7 @@ package fuzzy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -41,14 +42,15 @@ type Engine struct {
 	defuzz  Defuzzifier
 	samples int
 
-	// Centroid fast path: output-term membership grades pre-evaluated on the
-	// integration grid, so defuzzification is table lookups instead of
-	// interface-dispatched Grade calls. sampleX[i] is the i-th midpoint
-	// sample over the output universe; gradeTab[i*len(output.Terms)+t] is
-	// term t's grade there. Populated only for the Centroid defuzzifier;
-	// the numbers it produces are bit-identical to Centroid.Defuzz.
-	sampleX  []float64
-	gradeTab []float64
+	// centroid is the sparse table behind the centroid fast path, nil
+	// unless the defuzzifier is Centroid; see centroid.go.
+	centroid *centroidTable
+	// nGrades is the total term count across the inputs: the length of the
+	// flat grade vector one inference fuzzifies into, input by input.
+	// ruleAt[ri*len(inputs)+vi] is the index in that vector of rule ri's
+	// antecedent on input vi.
+	nGrades int
+	ruleAt  []int
 }
 
 // Option configures an Engine at construction time.
@@ -108,77 +110,21 @@ func NewEngine(name string, inputs []Variable, output Variable, rules []Rule, op
 	if e.defuzz == nil {
 		return nil, fmt.Errorf("fuzzy: engine %q: nil defuzzifier", name)
 	}
+	off := make([]int, len(e.inputs))
+	for i, in := range e.inputs {
+		off[i] = e.nGrades
+		e.nGrades += len(in.Terms)
+	}
+	e.ruleAt = make([]int, 0, len(e.rules)*len(e.inputs))
+	for _, r := range e.rules {
+		for vi, w := range r.When {
+			e.ruleAt = append(e.ruleAt, off[vi]+w)
+		}
+	}
 	if _, centroid := e.defuzz.(Centroid); centroid {
-		e.buildGradeTable()
+		e.centroid = newCentroidTable(e.output, e.samples)
 	}
 	return e, nil
-}
-
-// buildGradeTable precomputes the output-term grades on the integration
-// grid used by the centroid fast path.
-func (e *Engine) buildGradeTable() {
-	nt := len(e.output.Terms)
-	dx := (e.output.Max - e.output.Min) / float64(e.samples)
-	e.sampleX = make([]float64, e.samples)
-	e.gradeTab = make([]float64, e.samples*nt)
-	for i := 0; i < e.samples; i++ {
-		x := e.output.Min + (float64(i)+0.5)*dx
-		e.sampleX[i] = x
-		for t, term := range e.output.Terms {
-			e.gradeTab[i*nt+t] = term.MF.Grade(x)
-		}
-	}
-}
-
-// defuzzify dispatches to the centroid fast path when available, otherwise
-// to the configured Defuzzifier.
-func (e *Engine) defuzzify(strength []float64) (float64, error) {
-	if e.gradeTab == nil {
-		return e.defuzz.Defuzz(e.output, strength, e.samples)
-	}
-	// Only activated output terms can contribute to the max; with the
-	// paper's rule bases that is typically 2-5 of 9 terms.
-	var activeT [32]int
-	var activeS [32]float64
-	na := 0
-	for t, s := range strength {
-		if s > 0 {
-			if na == len(activeT) {
-				// Implausibly wide activation; take the general path.
-				return e.defuzz.Defuzz(e.output, strength, e.samples)
-			}
-			activeT[na], activeS[na] = t, s
-			na++
-		}
-	}
-	if na == 0 {
-		return 0, ErrNoRuleFired
-	}
-
-	nt := len(e.output.Terms)
-	var moment, area float64
-	for i, x := range e.sampleX {
-		base := i * nt
-		mu := 0.0
-		for k := 0; k < na; k++ {
-			s := activeS[k]
-			if s <= mu { // this term cannot raise the running max
-				continue
-			}
-			if g := e.gradeTab[base+activeT[k]]; g < s {
-				s = g
-			}
-			if s > mu {
-				mu = s
-			}
-		}
-		moment += x * mu
-		area += mu
-	}
-	if area == 0 {
-		return 0, ErrNoRuleFired
-	}
-	return moment / area, nil
 }
 
 // MustEngine is NewEngine that panics on error, for statically authored
@@ -217,15 +163,34 @@ type Result struct {
 	BestTerm int
 }
 
+// Stack capacities of one inference's working buffers. Engines within
+// them (both of the paper's controllers, by a wide margin) infer without
+// allocating; larger ones fall back to heap buffers.
+const (
+	stackGrades = 32 // total input terms
+	stackTerms  = 16 // output terms, plus the centroid table's sentinel
+)
+
 // Infer runs fuzzification, rule evaluation, aggregation and
 // defuzzification for the given crisp inputs (one per input variable, in
-// order; values are clamped to each variable's universe).
+// order; values are clamped to each variable's universe). With the
+// default Centroid defuzzifier, and within the stack capacities above, it
+// does not allocate.
 func (e *Engine) Infer(inputs ...float64) (float64, error) {
-	res, err := e.InferDetail(inputs...)
-	if err != nil {
-		return 0, err
+	crisp, _, err := e.InferBest(inputs...)
+	return crisp, err
+}
+
+// InferBest is Infer that also reports the index of the most activated
+// output term (Result.BestTerm), without the rest of the trace. It
+// allocates no more than Infer.
+func (e *Engine) InferBest(inputs ...float64) (crisp float64, best int, err error) {
+	var buf [stackTerms]float64
+	terms := buf[:]
+	if len(e.output.Terms)+1 > len(terms) {
+		terms = make([]float64, len(e.output.Terms)+1)
 	}
-	return res.Crisp, nil
+	return e.infer(inputs, nil, terms)
 }
 
 // InferDetail is Infer returning the full inference trace. Inputs are
@@ -233,56 +198,92 @@ func (e *Engine) Infer(inputs ...float64) (float64, error) {
 // nearest edge, as the paper treats out-of-range measurements); NaN carries
 // no such nearest value and is rejected.
 func (e *Engine) InferDetail(inputs ...float64) (Result, error) {
-	if len(inputs) != len(e.inputs) {
-		return Result{}, fmt.Errorf("fuzzy: engine %q: got %d inputs, want %d", e.name, len(inputs), len(e.inputs))
+	nt := len(e.output.Terms)
+	ruleStrength := make([]float64, len(e.rules))
+	termStrength := make([]float64, nt+1)
+	crisp, best, err := e.infer(inputs, ruleStrength, termStrength)
+	if err != nil {
+		return Result{}, err
 	}
-	for i, x := range inputs {
+	return Result{
+		Crisp:        crisp,
+		RuleStrength: ruleStrength,
+		TermStrength: termStrength[:nt:nt],
+		BestTerm:     best,
+	}, nil
+}
+
+// infer is the one inference core behind Infer, InferBest and
+// InferDetail. terms receives the aggregated activation of each output
+// term and must have room for one entry more: the sentinel term the
+// centroid table pads its rows with, whose strength infer keeps at 0.
+// rules, when non-nil, receives each rule's activation strength.
+func (e *Engine) infer(inputs, rules, terms []float64) (float64, int, error) {
+	if len(inputs) != len(e.inputs) {
+		return 0, -1, fmt.Errorf("fuzzy: engine %q: got %d inputs, want %d", e.name, len(inputs), len(e.inputs))
+	}
+
+	// Fuzzify every input once into one flat grade vector.
+	var gbuf [stackGrades]float64
+	grades := gbuf[:]
+	if e.nGrades > len(grades) {
+		grades = make([]float64, e.nGrades)
+	}
+	n := 0
+	for i, v := range e.inputs {
+		x := inputs[i]
 		if math.IsNaN(x) {
-			return Result{}, fmt.Errorf("fuzzy: engine %q: input %d (%s) is NaN", e.name, i, e.inputs[i].Name)
+			return 0, -1, fmt.Errorf("fuzzy: engine %q: input %d (%s) is NaN", e.name, i, v.Name)
+		}
+		x = v.Clamp(x)
+		for _, t := range v.Terms {
+			grades[n] = t.MF.Grade(x)
+			n++
 		}
 	}
 
-	// Fuzzify every input once; rules then index into the grade tables.
-	grades := make([][]float64, len(e.inputs))
-	for i, v := range e.inputs {
-		grades[i] = v.Fuzzify(inputs[i])
-	}
-
-	ruleStrength := make([]float64, len(e.rules))
-	termStrength := make([]float64, len(e.output.Terms))
+	nt := len(e.output.Terms)
+	clear(terms[:nt+1])
+	nin := len(e.inputs)
 	for ri, r := range e.rules {
-		s := grades[0][r.When[0]]
-		for vi := 1; vi < len(r.When); vi++ {
+		at := e.ruleAt[ri*nin : ri*nin+nin]
+		s := grades[at[0]]
+		for _, gi := range at[1:] {
 			if s == 0 {
 				break // conjunction cannot recover once any AND operand is 0
 			}
-			s = e.and(s, grades[vi][r.When[vi]])
+			s = e.and(s, grades[gi])
 		}
-		ruleStrength[ri] = s
-		if s > termStrength[r.Then] {
-			termStrength[r.Then] = s
+		if rules != nil {
+			rules[ri] = s
+		}
+		if s > terms[r.Then] {
+			terms[r.Then] = s
 		}
 	}
 
 	best := -1
 	bestS := 0.0
-	for ti, s := range termStrength {
+	for ti, s := range terms[:nt] {
 		if s > bestS {
 			bestS = s
 			best = ti
 		}
 	}
 
-	crisp, err := e.defuzzify(termStrength)
-	if err != nil {
-		return Result{}, fmt.Errorf("fuzzy: engine %q: %w", e.name, err)
+	var crisp float64
+	var err error
+	if e.centroid != nil {
+		crisp, err = e.centroid.defuzz(terms)
+	} else {
+		// The interface call may retain its argument, so it gets a copy
+		// and the caller's buffer can stay on the stack.
+		crisp, err = e.defuzz.Defuzz(e.output, slices.Clone(terms[:nt]), e.samples)
 	}
-	return Result{
-		Crisp:        crisp,
-		RuleStrength: ruleStrength,
-		TermStrength: termStrength,
-		BestTerm:     best,
-	}, nil
+	if err != nil {
+		return 0, -1, fmt.Errorf("fuzzy: engine %q: %w", e.name, err)
+	}
+	return crisp, best, nil
 }
 
 // DescribeRule renders rule ri with variable and term names, e.g.

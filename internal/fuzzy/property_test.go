@@ -181,10 +181,10 @@ func TestPropertyTierResolutionLadder(t *testing.T) {
 }
 
 func TestCentroidFastPathMatchesGeneralPath(t *testing.T) {
-	// The table-backed centroid must be bit-identical to Centroid.Defuzz.
+	// The sparse centroid table must be bit-identical to Centroid.Defuzz.
 	e := tipperEngine(t)
-	if e.gradeTab == nil {
-		t.Fatal("default engine did not build the centroid grade table")
+	if e.centroid == nil {
+		t.Fatal("default engine did not build the centroid table")
 	}
 	prop := func(service, food float64) bool {
 		res, err := e.InferDetail(service*10, food*10)
@@ -195,7 +195,7 @@ func TestCentroidFastPathMatchesGeneralPath(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.Crisp == want
+		return math.Float64bits(res.Crisp) == math.Float64bits(want)
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Error(err)

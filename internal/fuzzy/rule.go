@@ -67,13 +67,18 @@ func validateRules(inputs []Variable, output Variable, rules []Rule, requireComp
 	if len(rules) != want {
 		return fmt.Errorf("rule base has %d rules, complete cross product needs %d", len(rules), want)
 	}
-	seen := make(map[string]int, len(rules))
+	// Index each antecedent combination mixed-radix, the way RuleTable
+	// enumerates them: seen[idx] is 1 + the rule that claimed it.
+	seen := make([]int, want)
 	for ri, r := range rules {
-		key := fmt.Sprint(r.When)
-		if prev, dup := seen[key]; dup {
-			return fmt.Errorf("rules %d and %d share the same antecedents %v", prev, ri, r.When)
+		idx := 0
+		for vi, w := range r.When {
+			idx = idx*len(inputs[vi].Terms) + w
 		}
-		seen[key] = ri
+		if prev := seen[idx]; prev != 0 {
+			return fmt.Errorf("rules %d and %d share the same antecedents %v", prev-1, ri, r.When)
+		}
+		seen[idx] = ri + 1
 	}
 	return nil
 }

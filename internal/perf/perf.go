@@ -302,19 +302,62 @@ func citySmokeSpec(name string, smoke bool, opts experiment.Options) Spec {
 
 // --- micro bodies ---
 
+// stream is a seeded xorshift64 generator, cheap enough to draw from
+// inside a timed loop: the micro and surface specs feed their hot path a
+// diverse input stream instead of one repeated query, which branch
+// prediction and the caches would learn and so hide most of the cost.
+type stream uint64
+
+// streamSeed seeds every spec's stream, so each op sequence is identical
+// from run to run.
+const streamSeed stream = 0x9E3779B97F4A7C15
+
+func (s *stream) next() uint64 {
+	x := uint64(*s)
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	*s = stream(x)
+	return x
+}
+
+// unit maps the 12 bits of x at shift to [0, 1).
+func unit(x uint64, shift uint) float64 { return float64((x>>shift)&0xFFF) / 4096 }
+
+// classBU draws the paper's class bandwidths, voice twice as often.
+var classBU = [4]float64{core.TextBU, core.VoiceBU, core.VideoBU, core.VoiceBU}
+
+// flc1Query draws an FLC1 input (speed, angle, service) over the full
+// universes from one stream value.
+func flc1Query(x uint64) (speed, angle, service float64) {
+	return unit(x, 52) * core.SpeedMax, core.AngleMin + unit(x, 40)*(core.AngleMax-core.AngleMin), classBU[x&3]
+}
+
+// flc2Query draws an FLC2 input (correction value, request, counter
+// state) over the full universes from one stream value.
+func flc2Query(x uint64) (cv, request, counter float64) {
+	return unit(x, 52) * core.CvMax, classBU[x&3], unit(x, 40) * core.CounterMax
+}
+
+// inferBody runs one inference per op on a stream of queries.
+func inferBody(query func(uint64) (a, b, c float64), infer func(a, b, c float64) (float64, error)) Body {
+	return func(n int) (int64, error) {
+		s := streamSeed
+		for i := 0; i < n; i++ {
+			if _, err := infer(query(s.next())); err != nil {
+				return 0, err
+			}
+		}
+		return 0, nil
+	}
+}
+
 func flc1Exact() (Body, error) {
 	e, err := core.NewFLC1()
 	if err != nil {
 		return nil, err
 	}
-	return func(n int) (int64, error) {
-		for i := 0; i < n; i++ {
-			if _, err := e.Infer(72.5, 33, 5); err != nil {
-				return 0, err
-			}
-		}
-		return 0, nil
-	}, nil
+	return inferBody(flc1Query, func(a, b, c float64) (float64, error) { return e.Infer(a, b, c) }), nil
 }
 
 func flc2Exact() (Body, error) {
@@ -322,14 +365,7 @@ func flc2Exact() (Body, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(n int) (int64, error) {
-		for i := 0; i < n; i++ {
-			if _, err := e.Infer(0.7, 5, 22); err != nil {
-				return 0, err
-			}
-		}
-		return 0, nil
-	}, nil
+	return inferBody(flc2Query, func(a, b, c float64) (float64, error) { return e.Infer(a, b, c) }), nil
 }
 
 func flc1Surface() (Body, error) {
@@ -341,14 +377,7 @@ func flc1Surface() (Body, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(n int) (int64, error) {
-		for i := 0; i < n; i++ {
-			if _, err := s.Infer(72.5, 33, 5); err != nil {
-				return 0, err
-			}
-		}
-		return 0, nil
-	}, nil
+	return inferBody(flc1Query, func(a, b, c float64) (float64, error) { return s.Infer(a, b, c) }), nil
 }
 
 func flc2Surface() (Body, error) {
@@ -360,23 +389,20 @@ func flc2Surface() (Body, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(n int) (int64, error) {
-		for i := 0; i < n; i++ {
-			if _, err := s.Infer(0.7, 5, 22); err != nil {
-				return 0, err
-			}
-		}
-		return 0, nil
-	}, nil
+	return inferBody(flc2Query, func(a, b, c float64) (float64, error) { return s.Infer(a, b, c) }), nil
 }
 
-// admitLoop drives the end-to-end Admit+Release hot path with the
-// micro-benchmark request: a voice call at 60 km/h, 15 degrees off its
-// base station.
+// admitLoop drives the end-to-end Admit+Release hot path with a stream
+// of requests over the full speed and angle universes and every class,
+// half of them real-time and a quarter handoffs.
 func admitLoop(ctrl cac.Controller) Body {
-	req := cac.Request{ID: 1, Speed: 60, Angle: 15, Bandwidth: 5, RealTime: true}
 	return func(n int) (int64, error) {
+		s := streamSeed
 		for i := 0; i < n; i++ {
+			x := s.next()
+			speed, angle, bw := flc1Query(x)
+			req := cac.Request{ID: 1, Speed: speed, Angle: angle, Bandwidth: bw,
+				RealTime: x&4 != 0, Handoff: (x>>3)&3 == 0}
 			if d := ctrl.Admit(req); d.Accept {
 				if err := ctrl.Release(req); err != nil {
 					return 0, err

@@ -84,25 +84,22 @@ func tieredMetroBank(tc core.TierConfig, assign func(rates []float64) ([]int, er
 	return ctrls, t, nil
 }
 
-// tieredAdmitBody round-robins Admit+Release over the bank with a cheap
-// inline xorshift stream of diverse requests — every iteration hits a
+// tieredAdmitBody round-robins Admit+Release over the bank with the
+// cheap inline stream of diverse requests — every iteration hits a
 // different neighbourhood of a different cell's surface, which is what
 // makes the surface footprint (and so the tiering) visible: a single
 // repeated query would sit in eight cached grid corners forever.
 func tieredAdmitBody(ctrls []cac.Controller) Body {
-	bw := [4]float64{1, 5, 10, 5}
 	return func(n int) (int64, error) {
-		state := uint64(0x9E3779B97F4A7C15)
+		s := streamSeed
 		for i := 0; i < n; i++ {
-			state ^= state << 13
-			state ^= state >> 7
-			state ^= state << 17
+			x := s.next()
 			req := cac.Request{
 				ID:        1,
-				Speed:     float64(state>>52) / 4096 * 120,
-				Angle:     float64((state>>40)&0xFFF) / 4096 * 180,
-				Bandwidth: bw[state&3],
-				RealTime:  state&4 != 0,
+				Speed:     unit(x, 52) * 120,
+				Angle:     unit(x, 40) * 180,
+				Bandwidth: classBU[x&3],
+				RealTime:  x&4 != 0,
 			}
 			ctrl := ctrls[i%len(ctrls)]
 			if d := ctrl.Admit(req); d.Accept {
