@@ -8,7 +8,7 @@
 //	facs-server -scheme guard -capacity 40 -guard 8
 //	facs-server -scheme adapt            # adaptive bandwidth degradation
 //	facs-server -scheme adapt-fuzzy      # degradation gated by the fuzzy pipeline
-//	facs-server -cells 7 -queue 512      # 7-cell daemon, deeper per-cell queues
+//	facs-server -cells 7 -queue 512      # 7-cell daemon, 512 waiting requests per cell
 //	facs-server -surface-tiers default   # hotness-adaptive tiered decision surfaces
 //
 // Schemes: facsp (FACS-P, the paper's proposal), facs (the previous fuzzy
@@ -18,11 +18,11 @@
 // (the table-compiled distilled controller, internal/learned).
 //
 // The daemon serves -cells independent cells, each with its own admission
-// controller of the chosen scheme and its own worker goroutine; requests
-// address a cell with the wire "cell" field. Every cell's pending-request
-// queue is bounded at -queue entries: a request arriving at a full queue
-// is shed immediately with an "overloaded" error response instead of
-// growing server memory without limit.
+// controller of the chosen scheme and its own lock; requests address a
+// cell with the wire "cell" field, and each session runs its requests on
+// their cells itself. At most -queue requests may wait for a busy cell:
+// a request arriving beyond that is shed immediately with an
+// "overloaded" error response instead of piling up without limit.
 //
 // # Wire protocol
 //
@@ -67,17 +67,17 @@
 //
 // Every response carries "occupancy", "capacity" and "scheme", reporting
 // the state its own operation produced (the daemon serialises each cell's
-// mutations through one worker, so the numbers are exact, not racy
+// mutations under the cell's lock, so the numbers are exact, not racy
 // read-afters). Errors — an unknown op, class or cell, a bad version, a
 // duplicate admit, a release of a connection not admitted on the session —
 // answer with "ok":false and the message in "err":
 //
 //	<- {"v":1,"ok":false,"err":"bsd: connection 7 not admitted on this session","occupancy":0,"capacity":40,"scheme":"FACS-P"}
 //
-// A request shed because its cell's bounded queue was full additionally
-// carries the machine-readable "code":"overloaded" so load generators and
-// neighbour cells can tell backpressure from protocol bugs; the request
-// had no effect and may be retried:
+// A request shed because too many requests already waited for its cell
+// additionally carries the machine-readable "code":"overloaded" so load
+// generators and neighbour cells can tell backpressure from protocol
+// bugs; the request had no effect and may be retried:
 //
 //	<- {"v":1,"ok":false,"err":"bsd: cell 0 overloaded: request queue full","code":"overloaded","occupancy":37,"capacity":40,"scheme":"FACS-P"}
 //
@@ -100,8 +100,8 @@
 // process-wide decision-surface cache counters. GET /hotcells serves a
 // JSON ranking of the cells by recent admission demand, hottest first
 // (?n=K limits it to the K hottest). -hotness-halflife sets the decay
-// half-life of the demand estimate. The counters live in the cell
-// workers' hot path as plain atomic adds, so scraping never blocks or
+// half-life of the demand estimate. The counters live on the admission
+// path as plain atomic adds, so scraping never takes a cell lock or
 // slows admission.
 //
 // -surface-tiers enables hotness-adaptive tiered decision surfaces for
@@ -154,7 +154,7 @@ func run(args []string) error {
 		capacity = fs.Float64("capacity", 40, "cell capacity in bandwidth units")
 		guard    = fs.Float64("guard", 8, "guard band in BU (guard scheme only)")
 		cells    = fs.Int("cells", 1, "number of independent cells the daemon serves")
-		queue    = fs.Int("queue", bsd.DefaultQueueDepth, "per-cell bounded request queue depth")
+		queue    = fs.Int("queue", bsd.DefaultQueueDepth, "requests that may wait for a busy cell before more are shed")
 		metrics  = fs.String("metrics", "", "HTTP observability listen address (/metrics, /hotcells); empty disables")
 		halfLife = fs.Duration("hotness-halflife", bsd.DefaultHotnessHalfLife, "half-life of the per-cell hotness demand estimate")
 		tiers    = fs.String("surface-tiers", "", `hotness-adaptive tiered decision surfaces: "default" or a ladder like "9@0,33@0.5,65@8" (fuzzy schemes only); empty disables`)

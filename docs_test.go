@@ -210,8 +210,8 @@ func TestDocsMetricsFamiliesDocumented(t *testing.T) {
 // scripts/ci-smoke-asserts.sh (not re-inlined one-liners), the script
 // must exist, be executable and implement every subcommand the workflow
 // invokes, and the leaderboard job, run cancellation, staticcheck binary
-// cache and non-race allocation-gate and bit-identity step must stay
-// wired.
+// cache, non-race allocation-gate and bit-identity step and benchmark
+// self-test step must stay wired.
 func TestDocsCIWorkflowWiring(t *testing.T) {
 	ci := readDoc(t, ".github/workflows/ci.yml")
 	for _, token := range []string{
@@ -221,6 +221,7 @@ func TestDocsCIWorkflowWiring(t *testing.T) {
 		"cancel-in-progress: true",
 		"staticcheck-cache",
 		"go test -count=1 -run 'AllocFree|TestExactInferenceBitIdentical' ./...",
+		"(cd perfbench && go test -count=1 ./...)",
 	} {
 		if !strings.Contains(ci, token) {
 			t.Errorf("ci.yml does not contain %q", token)

@@ -18,11 +18,20 @@ import (
 // Serve's drain to complete.
 func startConfigServer(t *testing.T, cfg Config) (string, *Server, func()) {
 	t.Helper()
-	srv, err := New(cfg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, shutdown := serveListener(t, cfg, ln)
+	return ln.Addr().String(), srv, shutdown
+}
+
+// serveListener launches a daemon with the given config on ln and
+// returns the server and a shutdown func that also waits for Serve's
+// drain to complete.
+func serveListener(t *testing.T, cfg Config, ln net.Listener) (*Server, func()) {
+	t.Helper()
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +40,7 @@ func startConfigServer(t *testing.T, cfg Config) (string, *Server, func()) {
 		defer close(done)
 		_ = srv.Serve(ln)
 	}()
-	return ln.Addr().String(), srv, func() {
+	return srv, func() {
 		_ = srv.Close()
 		select {
 		case <-done:

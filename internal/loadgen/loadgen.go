@@ -162,10 +162,11 @@ type Result struct {
 	// Errors counts transport failures and protocol-level error replies
 	// other than overload sheds. A healthy run has zero.
 	Errors int
-	// Elapsed is the measured wall-clock span of the run.
+	// Elapsed is the measured wall-clock span of the run, including the
+	// tail of releases due after the last arrival.
 	Elapsed time.Duration
-	// AdmitsPerSec is Accepted divided by Elapsed: the sustained
-	// admission throughput.
+	// AdmitsPerSec is Accepted divided by the arrival window
+	// (Config.Duration): the sustained admission throughput.
 	AdmitsPerSec float64
 	// P50 and P99 are admission-latency percentiles measured from each
 	// request's scheduled send time (coordinated-omission corrected), so
@@ -309,9 +310,7 @@ func Run(cfg Config) (Result, error) {
 		Errors:   sum.errors,
 		Elapsed:  elapsed,
 	}
-	if elapsed > 0 {
-		res.AdmitsPerSec = float64(res.Accepted) / elapsed.Seconds()
-	}
+	res.AdmitsPerSec = float64(res.Accepted) / cfg.Duration.Seconds()
 	sort.Slice(sum.latencies, func(i, j int) bool { return sum.latencies[i] < sum.latencies[j] })
 	res.P50 = percentile(sum.latencies, 0.50)
 	res.P99 = percentile(sum.latencies, 0.99)

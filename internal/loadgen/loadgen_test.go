@@ -99,7 +99,10 @@ func TestScheduleDeterministicAndShaped(t *testing.T) {
 	}
 }
 
-func TestRunAgainstLiveDaemon(t *testing.T) {
+// startDaemon serves a 2-cell FACS-P daemon of 200 BU cells on loopback
+// until the test ends and returns its address.
+func startDaemon(t *testing.T) string {
+	t.Helper()
 	cfg := core.DefaultPConfig()
 	cfg.Capacity = 200
 	cells := make([]cac.Controller, 2)
@@ -123,13 +126,16 @@ func TestRunAgainstLiveDaemon(t *testing.T) {
 		defer close(done)
 		_ = srv.Serve(ln)
 	}()
-	defer func() {
+	t.Cleanup(func() {
 		_ = srv.Close()
 		<-done
-	}()
+	})
+	return ln.Addr().String()
+}
 
+func TestRunAgainstLiveDaemon(t *testing.T) {
 	res, err := Run(Config{
-		Addr:      ln.Addr().String(),
+		Addr:      startDaemon(t),
 		Profile:   "flash-crowd",
 		Duration:  400 * time.Millisecond,
 		Rate:      500,
@@ -159,6 +165,34 @@ func TestRunAgainstLiveDaemon(t *testing.T) {
 	}
 	if res.AdmitsPerSec <= 0 {
 		t.Errorf("no throughput: %s", res)
+	}
+}
+
+// TestAdmitsPerSecOverArrivalWindow pins the throughput denominator:
+// holds far longer than the window leave a release tail in Elapsed, and
+// AdmitsPerSec must not be diluted by it.
+func TestAdmitsPerSecOverArrivalWindow(t *testing.T) {
+	cfg := Config{
+		Addr:     startDaemon(t),
+		Duration: 200 * time.Millisecond,
+		Rate:     200,
+		Conns:    2,
+		Cells:    2,
+		Seed:     3,
+		HoldMean: 400 * time.Millisecond,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted == 0 || res.Errors != 0 {
+		t.Fatalf("unhealthy run: %s", res)
+	}
+	if res.Elapsed <= cfg.Duration {
+		t.Fatalf("no release tail: elapsed %v within the %v window", res.Elapsed, cfg.Duration)
+	}
+	if want := float64(res.Accepted) / cfg.Duration.Seconds(); res.AdmitsPerSec != want {
+		t.Errorf("AdmitsPerSec = %v, want accepted/window = %v (%s)", res.AdmitsPerSec, want, res)
 	}
 }
 

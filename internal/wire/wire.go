@@ -189,14 +189,48 @@ func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: bufio.NewWriter(w)} }
 
 // Encode writes one message and flushes.
 func (e *Encoder) Encode(v any) error {
+	if err := e.Buffer(v); err != nil {
+		return err
+	}
+	return e.w.Flush()
+}
+
+// Buffer writes one message without forcing a flush: it reaches the
+// underlying writer when the buffer fills or on Flush, so a server
+// answering pipelined requests can send several replies in one write.
+func (e *Encoder) Buffer(v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("wire: marshal: %w", err)
 	}
-	if _, err := e.w.Write(append(b, '\n')); err != nil {
-		return err
+	_, err = e.w.Write(append(b, '\n'))
+	return err
+}
+
+// Flush writes every buffered message to the underlying writer.
+func (e *Encoder) Flush() error { return e.w.Flush() }
+
+// NewSession returns the decoder and encoder of one server connection.
+// The encoder's messages are buffered until the decoder next reads from
+// rw, which it does only when no complete message is buffered: replies
+// to pipelined requests share writes, and no reply waits on a request
+// still in transit. Flush sends them earlier.
+func NewSession(rw io.ReadWriter) (*Decoder, *Encoder) {
+	enc := NewEncoder(rw)
+	return NewDecoder(flushReader{rw, enc}), enc
+}
+
+// flushReader flushes enc before every read from r.
+type flushReader struct {
+	r   io.Reader
+	enc *Encoder
+}
+
+func (f flushReader) Read(p []byte) (int, error) {
+	if err := f.enc.Flush(); err != nil {
+		return 0, err
 	}
-	return e.w.Flush()
+	return f.r.Read(p)
 }
 
 // Decoder reads newline-delimited JSON messages with a bounded line size
