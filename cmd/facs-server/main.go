@@ -9,13 +9,12 @@
 //	facs-server -scheme adapt            # adaptive bandwidth degradation
 //	facs-server -scheme adapt-fuzzy      # degradation gated by the fuzzy pipeline
 //	facs-server -cells 7 -queue 512      # 7-cell daemon, 512 waiting requests per cell
-//	facs-server -surface-tiers default   # hotness-adaptive tiered decision surfaces
+//	facs-server -surface 33              # precomputed decision surfaces
 //
 // Schemes: facsp (FACS-P, the paper's proposal), facs (the previous fuzzy
 // system), guard (cutoff priority), sharing (complete sharing), adapt and
-// adapt-fuzzy (adaptive bandwidth degradation, internal/adapt), optimal
-// (the value-iteration threshold policy, internal/optimal) and learned
-// (the table-compiled distilled controller, internal/learned).
+// adapt-fuzzy (adaptive bandwidth degradation, internal/adapt) and
+// optimal (the value-iteration threshold policy, internal/optimal).
 //
 // The daemon serves -cells independent cells, each with its own admission
 // controller of the chosen scheme and its own lock; requests address a
@@ -104,19 +103,14 @@
 // path as plain atomic adds, so scraping never takes a cell lock or
 // slows admission.
 //
-// -surface-tiers enables hotness-adaptive tiered decision surfaces for
-// the fuzzy schemes (facsp, facs): cold cells share one coarse
-// process-cached surface and hot cells are promoted to finer grids (or
-// exact inference) as their hotness rate crosses the ladder's thresholds,
-// with recompilation running asynchronously so admits never block. The
-// value is "default" or an explicit ladder "res@minrate,..." such as
-// "9@0,33@0.5,65@8" (resolution 0 = exact inference on the hottest tier).
-// With tiering on, /metrics additionally serves facs_surface_tier (each
-// cell's current tier, labelled by cell), facs_surface_tier_cells (the
-// tier-occupancy histogram, labelled by tier) and the process-wide
-// facs_surface_recompiles_total, facs_surface_recompiles_stale_total,
-// facs_surface_tier_promotions_total and facs_surface_tier_demotions_total
-// counters.
+// -surface N runs the fuzzy schemes (facsp, facs, adapt-fuzzy) on
+// precomputed decision surfaces with N ticks per input axis instead of
+// exact Mamdani inference, exactly as facs-sim -surface does: 0 (the
+// default) keeps exact inference, anything else must be at least 2.
+// Every cell's controller shares one compiled surface pair from the
+// process-wide surface cache, which /metrics reports as
+// facs_surface_cache_misses_total (one per compiled surface) and
+// facs_surface_cache_hits_total (one per surface a later cell reused).
 package main
 
 import (
@@ -135,7 +129,6 @@ import (
 	"facsp/internal/bsd"
 	"facsp/internal/cac"
 	"facsp/internal/core"
-	"facsp/internal/learned"
 	"facsp/internal/optimal"
 )
 
@@ -150,14 +143,14 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("facs-server", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:4077", "listen address")
-		scheme   = fs.String("scheme", "facsp", "admission scheme: facsp, facs, guard, sharing, adapt, adapt-fuzzy, optimal, learned")
+		scheme   = fs.String("scheme", "facsp", "admission scheme: facsp, facs, guard, sharing, adapt, adapt-fuzzy, optimal")
 		capacity = fs.Float64("capacity", 40, "cell capacity in bandwidth units")
 		guard    = fs.Float64("guard", 8, "guard band in BU (guard scheme only)")
 		cells    = fs.Int("cells", 1, "number of independent cells the daemon serves")
 		queue    = fs.Int("queue", bsd.DefaultQueueDepth, "requests that may wait for a busy cell before more are shed")
 		metrics  = fs.String("metrics", "", "HTTP observability listen address (/metrics, /hotcells); empty disables")
 		halfLife = fs.Duration("hotness-halflife", bsd.DefaultHotnessHalfLife, "half-life of the per-cell hotness demand estimate")
-		tiers    = fs.String("surface-tiers", "", `hotness-adaptive tiered decision surfaces: "default" or a ladder like "9@0,33@0.5,65@8" (fuzzy schemes only); empty disables`)
+		surface  = fs.Int("surface", 0, "run the fuzzy schemes on precomputed decision surfaces with this per-axis resolution (0 = exact inference)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -166,45 +159,19 @@ func run(args []string) error {
 		return fmt.Errorf("need at least one cell, got %d", *cells)
 	}
 
-	var tiered *core.Tiered
-	if *tiers != "" {
-		if *scheme != "facsp" && *scheme != "facs" {
-			return fmt.Errorf("-surface-tiers needs a fuzzy scheme (facsp or facs), got %q", *scheme)
-		}
-		tcfg, err := core.ParseTiers(*tiers)
-		if err != nil {
-			return err
-		}
-		// The ladder's rates are measured on the daemon's hotness axis.
-		hl := *halfLife
-		if hl <= 0 {
-			hl = bsd.DefaultHotnessHalfLife
-		}
-		tcfg.HalfLife = hl.Seconds()
-		if tiered, err = core.NewTiered(*cells, tcfg); err != nil {
-			return err
-		}
-		defer tiered.Close()
+	if *surface != 0 && *scheme != "facsp" && *scheme != "facs" && *scheme != "adapt-fuzzy" {
+		return fmt.Errorf("-surface needs a fuzzy scheme (facsp, facs or adapt-fuzzy), got %q", *scheme)
 	}
 
 	ctrls := make([]cac.Controller, *cells)
 	for i := range ctrls {
-		var prov core.SurfaceProvider
-		if tiered != nil {
-			prov = tiered.Cell(i)
-		}
-		ctrl, err := buildController(*scheme, *capacity, *guard, prov)
+		ctrl, err := buildController(*scheme, *capacity, *guard, *surface)
 		if err != nil {
 			return err
 		}
 		ctrls[i] = ctrl
 	}
-	cfg := bsd.Config{Cells: ctrls, QueueDepth: *queue, HotnessHalfLife: *halfLife}
-	if tiered != nil {
-		cfg.Tiers = tiered
-		cfg.TierInterval = time.Duration(tiered.Config().Interval * float64(time.Second))
-	}
-	srv, err := bsd.New(cfg)
+	srv, err := bsd.New(bsd.Config{Cells: ctrls, QueueDepth: *queue, HotnessHalfLife: *halfLife})
 	if err != nil {
 		return err
 	}
@@ -249,17 +216,20 @@ func run(args []string) error {
 	return nil
 }
 
-func buildController(scheme string, capacity, guard float64, surfaces core.SurfaceProvider) (cac.Controller, error) {
+// buildController builds one cell's controller. surface is the per-axis
+// decision-surface resolution of the fuzzy schemes (0 = exact inference);
+// the other schemes ignore it.
+func buildController(scheme string, capacity, guard float64, surface int) (cac.Controller, error) {
 	switch scheme {
 	case "facsp":
 		cfg := core.DefaultPConfig()
 		cfg.Capacity = capacity
-		cfg.Surfaces = surfaces
+		cfg.SurfaceResolution = surface
 		return core.NewFACSP(cfg)
 	case "facs":
 		cfg := core.DefaultConfig()
 		cfg.Capacity = capacity
-		cfg.Surfaces = surfaces
+		cfg.SurfaceResolution = surface
 		return core.NewFACS(cfg)
 	case "guard":
 		return baseline.NewGuardChannel(capacity, guard)
@@ -272,12 +242,12 @@ func buildController(scheme string, capacity, guard float64, surfaces core.Surfa
 	case "adapt-fuzzy":
 		cfg := adapt.DefaultConfig()
 		cfg.Capacity = capacity
-		return adapt.NewFuzzy(cfg, core.DefaultPConfig())
+		pcfg := core.DefaultPConfig()
+		pcfg.SurfaceResolution = surface
+		return adapt.NewFuzzy(cfg, pcfg)
 	case "optimal":
 		return optimal.ForCapacity(capacity)
-	case "learned":
-		return learned.New(capacity)
 	default:
-		return nil, fmt.Errorf("unknown scheme %q (have facsp, facs, guard, sharing, adapt, adapt-fuzzy, optimal, learned)", scheme)
+		return nil, fmt.Errorf("unknown scheme %q (have facsp, facs, guard, sharing, adapt, adapt-fuzzy, optimal)", scheme)
 	}
 }

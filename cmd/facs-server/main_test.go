@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"facsp/internal/cac"
+	"facsp/internal/core"
 )
 
 func TestBuildController(t *testing.T) {
@@ -19,12 +20,11 @@ func TestBuildController(t *testing.T) {
 		{scheme: "adapt", want: "adapt"},
 		{scheme: "adapt-fuzzy", want: "adapt-fuzzy"},
 		{scheme: "optimal", want: "optimal"},
-		{scheme: "learned", want: "learned"},
 		{scheme: "mystery", wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.scheme, func(t *testing.T) {
-			ctrl, err := buildController(tt.scheme, 40, 8, nil)
+			ctrl, err := buildController(tt.scheme, 40, 8, 0)
 			if (err != nil) != tt.wantErr {
 				t.Fatalf("buildController error = %v, wantErr %v", err, tt.wantErr)
 			}
@@ -42,13 +42,13 @@ func TestBuildController(t *testing.T) {
 }
 
 func TestBuildControllerInvalidParams(t *testing.T) {
-	if _, err := buildController("facsp", -1, 0, nil); err == nil {
+	if _, err := buildController("facsp", -1, 0, 0); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	if _, err := buildController("adapt", -1, 0, nil); err == nil {
+	if _, err := buildController("adapt", -1, 0, 0); err == nil {
 		t.Error("negative adapt capacity accepted")
 	}
-	if _, err := buildController("guard", 40, 40, nil); err == nil {
+	if _, err := buildController("guard", 40, 40, 0); err == nil {
 		t.Error("guard == capacity accepted")
 	}
 }
@@ -59,18 +59,50 @@ func TestRunRejectsBadScheme(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadSurfaceTiers(t *testing.T) {
-	// Tiering only applies to the schemes with a fuzzy pipeline behind a
-	// SurfaceProvider hook.
-	for _, scheme := range []string{"guard", "sharing", "adapt", "adapt-fuzzy"} {
-		if err := run([]string{"-scheme", scheme, "-surface-tiers", "default", "-addr", "127.0.0.1:0"}); err == nil {
-			t.Errorf("-surface-tiers with scheme %s accepted", scheme)
+func TestRunRejectsBadSurface(t *testing.T) {
+	// The surface resolution only applies to the schemes with a fuzzy
+	// pipeline.
+	for _, scheme := range []string{"guard", "sharing", "adapt", "optimal"} {
+		if err := run([]string{"-scheme", scheme, "-surface", "33", "-addr", "127.0.0.1:0"}); err == nil {
+			t.Errorf("-surface with scheme %s accepted", scheme)
 		}
 	}
-	// A malformed or invalid ladder fails before the listener opens.
-	for _, ladder := range []string{"9", "x@0", "17@0,9@2", "9@1"} {
-		if err := run([]string{"-surface-tiers", ladder, "-addr", "127.0.0.1:0"}); err == nil {
-			t.Errorf("-surface-tiers %q accepted", ladder)
+	// An invalid resolution fails before the listener opens.
+	for _, scheme := range []string{"facsp", "facs", "adapt-fuzzy"} {
+		for _, res := range []string{"1", "-3"} {
+			if err := run([]string{"-scheme", scheme, "-surface", res, "-addr", "127.0.0.1:0"}); err == nil {
+				t.Errorf("-scheme %s -surface %s accepted", scheme, res)
+			}
 		}
+	}
+}
+
+// TestBuildControllerSurface checks that every fuzzy scheme honours the
+// surface resolution: a surface-backed controller's score differs from
+// the exact one somewhere, and cells built at one resolution share one
+// compiled surface pair.
+func TestBuildControllerSurface(t *testing.T) {
+	req := cac.Request{ID: 1, Speed: 37, Angle: 23, Bandwidth: 5, RealTime: true}
+	for _, scheme := range []string{"facsp", "facs", "adapt-fuzzy"} {
+		exact, err := buildController(scheme, 40, 8, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		surf, err := buildController(scheme, 40, 8, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if de, ds := exact.Admit(req), surf.Admit(req); de.Score == ds.Score {
+			t.Errorf("%s: -surface 9 score %v equals the exact score", scheme, ds.Score)
+		}
+	}
+	_, misses := core.SurfaceCacheCounters()
+	for i := 0; i < 3; i++ {
+		if _, err := buildController("facsp", 40, 8, 9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, after := core.SurfaceCacheCounters(); after != misses {
+		t.Errorf("rebuilding resolution-9 cells compiled %d new surfaces, want 0", after-misses)
 	}
 }

@@ -35,7 +35,7 @@
 // descriptions — heterogeneous per-cell load and capacity, time-varying
 // and bursty arrivals, mobility mixes — documented in SCENARIOS.md. A
 // scenario run ranks every scheme (facs, facsp, scc, guard, adapt,
-// adapt-fuzzy, optimal, learned) on the same sweep; -metric picks the y
+// adapt-fuzzy, optimal) on the same sweep; -metric picks the y
 // axis: accepted (acceptance %), drops (dropped-call %), or ratio
 // (received/requested bandwidth %). The named library holds flash-crowd,
 // stadium-hotspot, highway, diurnal-city and metro-city; -scenario also

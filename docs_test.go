@@ -175,10 +175,14 @@ func TestDocsBenchBaselineMatchesRegistry(t *testing.T) {
 	}
 }
 
+// familyRow matches one row of the EXPERIMENTS.md metric family table.
+var familyRow = regexp.MustCompile("(?m)^\\| `(facs_[a-z_]+)` \\|")
+
 // TestDocsMetricsFamiliesDocumented diffs the observability docs against
-// the live metrics registry: every Prometheus family the process can
-// expose — per-cell series, hotness, registered scalars — must appear in
-// the EXPERIMENTS.md family table, and both doors must document the
+// the live metrics registry in both directions: every Prometheus family
+// the process can expose — per-cell series, hotness, registered scalars —
+// must appear in the EXPERIMENTS.md family table, every facs_* row of
+// that table must still be exposed, and both doors must document the
 // endpoints and the server flag. Importing facsp (above) pulls in
 // internal/core, so the surface-cache scalar families are registered by
 // the time this runs, exactly as in a live daemon.
@@ -187,9 +191,20 @@ func TestDocsMetricsFamiliesDocumented(t *testing.T) {
 	if !strings.Contains(experiments, "## Observability") {
 		t.Fatal("EXPERIMENTS.md has no Observability section")
 	}
+	live := map[string]bool{}
 	for _, fam := range metrics.Families() {
+		live[fam] = true
 		if !strings.Contains(experiments, "`"+fam+"`") {
 			t.Errorf("EXPERIMENTS.md does not document metric family `%s`", fam)
+		}
+	}
+	rows := familyRow.FindAllStringSubmatch(experiments, -1)
+	if len(rows) == 0 {
+		t.Fatal("EXPERIMENTS.md has no metric family table rows")
+	}
+	for _, m := range rows {
+		if !live[m[1]] {
+			t.Errorf("EXPERIMENTS.md documents metric family `%s`, which metrics.Families() no longer returns", m[1])
 		}
 	}
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {

@@ -130,13 +130,12 @@ func ExampleRunScenario() {
 		fmt.Printf("%s: %d point(s) at N=%.0f\n", c.Name, len(c.Points), c.Points[0].X)
 	}
 	// Output:
-	// scenario flash-crowd ranks 8 schemes:
+	// scenario flash-crowd ranks 7 schemes:
 	// adapt: 1 point(s) at N=8
 	// adapt-fuzzy: 1 point(s) at N=8
 	// FACS: 1 point(s) at N=8
 	// FACS-P: 1 point(s) at N=8
 	// guard-channel: 1 point(s) at N=8
-	// learned: 1 point(s) at N=8
 	// optimal: 1 point(s) at N=8
 	// SCC: 1 point(s) at N=8
 }
@@ -172,13 +171,12 @@ func Example_scenarioFile() {
 		fmt.Println(c.Name)
 	}
 	// Output:
-	// hotspot-next-to-outage: 7 schemes ranked
+	// hotspot-next-to-outage: 6 schemes ranked
 	// adapt
 	// adapt-fuzzy
 	// FACS
 	// FACS-P
 	// guard-channel
-	// learned
 	// optimal
 }
 

@@ -12,6 +12,7 @@ import (
 	"facsp/internal/core"
 	"facsp/internal/metrics"
 	"facsp/internal/traffic"
+	"facsp/internal/wire"
 )
 
 // outcomeTally counts admission outcomes per cell and class, indexed
@@ -246,5 +247,134 @@ func TestGeneratedOpsKeepLedger(t *testing.T) {
 		if occ := ctrl.Occupancy(); occ != 0 {
 			t.Errorf("cell %d occupancy after drain = %v", c, occ)
 		}
+	}
+}
+
+// TestGeneratedOpsKeepLedgerPerOp is the single-session variant of
+// TestGeneratedOpsKeepLedger. With one session nothing else moves a
+// cell, so the ledger must hold exactly after every operation: each
+// response's occupancy and a status of every cell equal the bandwidth of
+// the session's live grants, and once a disconnected session is torn
+// down every cell is back to zero.
+func TestGeneratedOpsKeepLedgerPerOp(t *testing.T) {
+	const ops = 400
+	classes := [...]traffic.Class{traffic.Text, traffic.Voice, traffic.Video}
+	facsp, err := core.NewFACSP(core.DefaultPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard, err := baseline.NewGuardChannel(40, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := append(sharingCells(t, 1, 40), facsp, guard)
+
+	// Every op may open a new session, plus the first one.
+	ln := newCountingListener(t, ops+1)
+	_, shutdown := serveListener(t, Config{Cells: cells}, ln)
+	defer shutdown()
+	addr := ln.Addr().String()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cl.Close() }()
+
+	live := map[grantKey]traffic.Class{}
+	held := func(cell int) float64 {
+		sum := 0.0
+		for key, class := range live {
+			if key.cell == cell {
+				sum += class.Bandwidth()
+			}
+		}
+		return sum
+	}
+	checkCells := func(i int, what string) {
+		t.Helper()
+		for c := range cells {
+			resp, err := cl.StatusIn(c)
+			if err != nil {
+				t.Fatalf("op %d (%s): status: %v", i, what, err)
+			}
+			if !resp.OK || resp.Occupancy != held(c) {
+				t.Fatalf("op %d (%s): cell %d status %+v, live grants hold %v", i, what, c, resp, held(c))
+			}
+		}
+	}
+
+	accepts, disconnects := 0, 0
+	rng := rand.New(rand.NewPCG(7, 99))
+	for i := range ops {
+		key := grantKey{cell: rng.IntN(len(cells)), id: uint64(1 + rng.IntN(12))}
+		class, isLive := live[key]
+		var (
+			resp wire.Response
+			what string
+		)
+		switch p := rng.IntN(100); {
+		case p < 45:
+			what = "admit"
+			if !isLive {
+				class = classes[rng.IntN(len(classes))]
+			}
+			resp, err = cl.AdmitWith(key.id, class.String(), AdmitOptions{
+				Cell: key.cell, SpeedKmh: rng.Float64() * 120, AngleDeg: rng.Float64()*360 - 180, Handoff: rng.IntN(10) < 3,
+			})
+			if err != nil {
+				t.Fatalf("op %d: admit: %v", i, err)
+			}
+			if resp.OK == isLive {
+				t.Fatalf("op %d: admit of %+v (live %v) answered %+v", i, key, isLive, resp)
+			}
+			if resp.OK && resp.Accept {
+				live[key] = class
+				accepts++
+			}
+
+		case p < 75:
+			what = "release"
+			if !isLive {
+				class = classes[rng.IntN(len(classes))]
+			}
+			resp, err = cl.ReleaseIn(key.cell, key.id, class.String())
+			if err != nil {
+				t.Fatalf("op %d: release: %v", i, err)
+			}
+			if resp.OK != isLive {
+				t.Fatalf("op %d: release of %+v (live %v) answered %+v", i, key, isLive, resp)
+			}
+			delete(live, key)
+
+		case p < 95:
+			what = "status"
+			if resp, err = cl.StatusIn(key.cell); err != nil {
+				t.Fatalf("op %d: status: %v", i, err)
+			}
+
+		default:
+			// The daemon releases the session's grants when it tears the
+			// session down.
+			_ = cl.Close()
+			select {
+			case <-ln.closed:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("op %d: the disconnected session was not torn down", i)
+			}
+			clear(live)
+			disconnects++
+			if cl, err = Dial(addr); err != nil {
+				t.Fatal(err)
+			}
+			checkCells(i, "disconnect")
+			continue
+		}
+		if resp.Occupancy != held(key.cell) {
+			t.Fatalf("op %d (%s %+v): response occupancy %v, live grants hold %v", i, what, key, resp.Occupancy, held(key.cell))
+		}
+		checkCells(i, what)
+	}
+	if accepts < 20 || disconnects < 5 {
+		t.Errorf("run exercises too little: %d accepted admits, %d disconnects", accepts, disconnects)
 	}
 }

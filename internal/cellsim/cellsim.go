@@ -327,7 +327,8 @@ type Config struct {
 	// scraped like a live cell bank. The registry must cover at least as
 	// many cells as the topology has slots; bumps are single atomic adds,
 	// so the event loop stays allocation-free. Only the single-heap Run
-	// engine exports; RunSharded ignores the sinks.
+	// engine exports; RunSharded rejects a config that sets Metrics or
+	// Hotness.
 	Metrics *metrics.Registry
 	// Hotness, when non-nil, records every admission attempt (new call or
 	// handoff) at its cell slot on the simulation-time axis, feeding the
@@ -758,7 +759,7 @@ func (rs *runState) run(s *Sim) (Result, error) {
 
 			// Spawn uniformly inside the cell's hexagon by rejection from
 			// the bounding box.
-			x, y := s.randomPointInCell(&rs.src, st.cell)
+			x, y := randomPointInCell(&rs.src, s.layout, st.cell)
 			moverSeed := rs.src.SplitSeed()
 
 			rs.arrivals = append(rs.arrivals, arrival{
@@ -1138,17 +1139,17 @@ func (rs *runState) accrue(c *call, now float64) {
 // [-circumradius, circumradius] in y around its centre, so every point of
 // the cell is reachable and the acceptance probability is the fixed
 // area ratio (3√3/4)·r·w / (4·r·w) ≈ 0.65. Both half-extents come from
-// s.layout — the same geometry the InCell inradius fast path and CellAt
+// the layout — the same geometry the InCell inradius fast path and CellAt
 // use — so the sampler cannot drift from the lookup even if cell size
-// ever becomes per-topology.
-func (s *Sim) randomPointInCell(src *rng.Source, cell hexgrid.Coord) (x, y float64) {
-	cx, cy := s.layout.Center(cell)
-	w := s.layout.Inradius()
-	r := s.layout.Size
+// ever becomes per-topology. Both engines place new calls with it.
+func randomPointInCell(src *rng.Source, layout hexgrid.Layout, cell hexgrid.Coord) (x, y float64) {
+	cx, cy := layout.Center(cell)
+	w := layout.Inradius()
+	r := layout.Size
 	for {
 		px := src.Uniform(-w, w)
 		py := src.Uniform(-r, r)
-		if s.layout.CellAt(cx+px, cy+py) == cell {
+		if layout.CellAt(cx+px, cy+py) == cell {
 			return cx + px, cy + py
 		}
 	}

@@ -200,3 +200,33 @@ func TestMetricsSinkValidation(t *testing.T) {
 		t.Error("undersized hotness tracker accepted")
 	}
 }
+
+// TestRunShardedRejectsSinks pins that the sharded engine refuses the
+// telemetry sinks it cannot fill, instead of leaving them at zero.
+func TestRunShardedRejectsSinks(t *testing.T) {
+	base := DefaultConfig(2, 1)
+	reg := sinkRegistry(t, base)
+	hot, err := hotness.New(reg.Cells(), 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"metrics", func(c *Config) { c.Metrics = reg }},
+		{"hotness", func(c *Config) { c.Hotness = hot }},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		if _, err := RunSharded(cfg, tightGuardAdmitter(t), ShardOptions{Groups: 2, Workers: 1}); err == nil {
+			t.Errorf("RunSharded accepted a %s sink", tc.name)
+		}
+	}
+	if reg.CounterValue(0, metrics.AdmitsText) != 0 || hot.Rate(0, 1) != 0 {
+		t.Error("a rejected run still wrote to the sinks")
+	}
+	if _, err := RunSharded(base, tightGuardAdmitter(t), ShardOptions{Groups: 2, Workers: 1}); err != nil {
+		t.Errorf("RunSharded without sinks: %v", err)
+	}
+}

@@ -166,6 +166,9 @@ func RunSharded(cfg Config, adm Admitter, opts ShardOptions) (Result, error) {
 	if adm == nil {
 		return Result{}, fmt.Errorf("cellsim: nil admitter")
 	}
+	if cfg.Metrics != nil || cfg.Hotness != nil {
+		return Result{}, fmt.Errorf("cellsim: the sharded engine does not export per-cell telemetry; run without Config.Metrics and Config.Hotness")
+	}
 	tc, ok := adm.(TopologyCompiler)
 	if !ok {
 		return Result{}, fmt.Errorf("cellsim: admitter %T cannot be sharded: it does not compile per-cell state (TopologyCompiler); network-level schemes must use the single-heap engine", adm)
@@ -221,13 +224,7 @@ func RunSharded(cfg Config, adm Admitter, opts ShardOptions) (Result, error) {
 // shardStreams resolves the run's traffic into per-cell sources in slot
 // order. Unlike the single-heap engine every stream is counted.
 func (r *shardRun) shardStreams() []stream {
-	return resolveShardStreams(r.cfg, r.topo, r.centre)
-}
-
-// resolveShardStreams is the pure form of shardStreams, shared with the
-// offered-rate preview of OfferedRates: the per-cell traffic sources of a
-// config, in slot order, as a function of nothing but (cfg, topo, centre).
-func resolveShardStreams(cfg Config, topo *hexgrid.Topology, centre hexgrid.Coord) []stream {
+	cfg, topo := r.cfg, r.topo
 	perCell := make(map[hexgrid.Coord]CellTraffic, len(cfg.PerCell))
 	for _, ct := range cfg.PerCell {
 		perCell[ct.Cell] = ct
@@ -240,7 +237,7 @@ func resolveShardStreams(cfg Config, topo *hexgrid.Topology, centre hexgrid.Coor
 			speed: cfg.Speed, angle: cfg.Angle, counted: true,
 		}
 		if len(cfg.PerCell) == 0 {
-			if cell == centre {
+			if cell == r.centre {
 				st.n = cfg.Requests
 			} else {
 				st.n = cfg.NeighborRequests
@@ -313,7 +310,7 @@ func (r *shardRun) predraw() (int, error) {
 			g.res.Requests++
 			g.requestsByClass[class]++
 
-			x, y := r.randomPointInCell(&src, st.cell)
+			x, y := randomPointInCell(&src, r.layout, st.cell)
 			moverSeed := src.SplitSeed()
 
 			g.arrivals = append(g.arrivals, arrival{
@@ -328,28 +325,6 @@ func (r *shardRun) predraw() (int, error) {
 		}
 	}
 	return total, nil
-}
-
-// randomPointInCell mirrors Sim.randomPointInCell for the sharded run;
-// both sample the hexagon's tight [-inradius, inradius] x
-// [-circumradius, circumradius] bounding box from the layout's geometry.
-func (r *shardRun) randomPointInCell(src *rng.Source, cell hexgrid.Coord) (x, y float64) {
-	return randomPointInCell(src, r.layout, cell)
-}
-
-// randomPointInCell is the pure form, shared with the offered-rate preview
-// so its draw sequence stays aligned with the sharded engine's predraw.
-func randomPointInCell(src *rng.Source, layout hexgrid.Layout, cell hexgrid.Coord) (x, y float64) {
-	cx, cy := layout.Center(cell)
-	w := layout.Inradius()
-	rad := layout.Size
-	for {
-		px := src.Uniform(-w, w)
-		py := src.Uniform(-rad, rad)
-		if layout.CellAt(cx+px, cy+py) == cell {
-			return cx + px, cy + py
-		}
-	}
 }
 
 // armObserver wires mid-call bandwidth reallocations to per-call

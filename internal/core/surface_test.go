@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -243,5 +244,74 @@ func TestSurfaceResolutionValidation(t *testing.T) {
 	}
 	if got := DefaultPConfig().WithSurfaceCache(65).SurfaceResolution; got != 65 {
 		t.Errorf("WithSurfaceCache(65) resolution = %d", got)
+	}
+}
+
+// TestSurfaceResolutionMatchesExact drives a dense input lattice through a
+// FACS-P at each surface resolution and through exact inference, asserting
+// the accuracy contract: scores within the resolution's tolerance, and
+// identical decisions whenever the exact score is not within tolerance of
+// the threshold. Tolerances are end-to-end FACS-P score bounds measured
+// over this lattice and stated with headroom (the ARMin..ARMax score axis
+// spans 2.0); resolution 33's bound is the 2*flc1Tolerance+flc2Tolerance
+// composite of the default surfaces.
+func TestSurfaceResolutionMatchesExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dense lattice")
+	}
+	exact, err := NewFACSP(DefaultPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		resolution int
+		tol        float64
+	}{
+		{9, 0.30},                             // measured 0.143
+		{17, 0.25},                            // measured 0.120
+		{33, 2*flc1Tolerance + flc2Tolerance}, // the documented default-resolution composite
+		{65, 0.05},                            // measured 0.006
+	} {
+		t.Run(fmt.Sprintf("res%d", tc.resolution), func(t *testing.T) {
+			pc := DefaultPConfig()
+			pc.SurfaceResolution = tc.resolution
+			surf, err := NewFACSP(pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst, flips := 0.0, 0
+			for sp := 0.0; sp <= SpeedMax; sp += 7.5 {
+				for an := 0.0; an <= AngleMax; an += 11.25 {
+					for _, bw := range []float64{TextBU, VoiceBU, VideoBU} {
+						for _, occ := range []float64{0, 0.3, 0.6, 0.9} {
+							req := cac.Request{ID: 1, Speed: sp, Angle: an, Bandwidth: bw, RealTime: true}
+							rtc := occ * CounterMax
+							de, err := exact.Evaluate(req, rtc, 0)
+							if err != nil {
+								t.Fatal(err)
+							}
+							ds, err := surf.Evaluate(req, rtc, 0)
+							if err != nil {
+								t.Fatal(err)
+							}
+							d := math.Abs(de.Score - ds.Score)
+							worst = math.Max(worst, d)
+							if d > tc.tol {
+								t.Fatalf("at (%v,%v,%v,occ %v): score %v vs exact %v, error %v > %v",
+									sp, an, bw, occ, ds.Score, de.Score, d, tc.tol)
+							}
+							if de.Accept != ds.Accept {
+								flips++
+								if math.Abs(de.Score-de.Threshold) > tc.tol {
+									t.Fatalf("at (%v,%v,%v,occ %v): decision flipped with exact score %v a full %v from threshold %v",
+										sp, an, bw, occ, de.Score, math.Abs(de.Score-de.Threshold), de.Threshold)
+								}
+							}
+						}
+					}
+				}
+			}
+			t.Logf("max score error %.4f (tolerance %v), %d near-threshold decision flips", worst, tc.tol, flips)
+		})
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"facsp/internal/cellsim"
-	"facsp/internal/core"
-	"facsp/internal/hexgrid"
 	"facsp/internal/scenario"
 )
 
@@ -31,20 +29,19 @@ type CityRun struct {
 	// Shard carries the group/worker split; the zero value picks
 	// topology-default groups and GOMAXPROCS-bounded workers.
 	Shard cellsim.ShardOptions
-	// Tiers, when non-nil, runs the scheme on hotness-tiered decision
-	// surfaces: every cell's resolution is assigned statically before the
-	// run from the sim-time hotness axis (AssignTiers), so the result
-	// stays bit-identical for any worker count. Only fuzzy schemes can
-	// tier (TieredSchemeFactory); Options.SurfaceResolution is ignored.
-	Tiers *core.TierConfig
 }
 
 // RunCity validates the scenario, builds the scheme's per-cell admitter
 // over the scenario's capacity map (dead cells included) and executes one
-// sharded run. Results are bit-identical for any Shard.Workers value.
+// sharded run. Results are bit-identical for any Shard.Workers value. The
+// sharded engine exports no per-cell telemetry, so a non-nil
+// opts.Metrics or opts.Hotness is an error.
 func RunCity(s *scenario.Scenario, run CityRun, opts Options) (cellsim.Result, error) {
 	if err := s.Validate(); err != nil {
 		return cellsim.Result{}, err
+	}
+	if opts.Metrics != nil || opts.Hotness != nil {
+		return cellsim.Result{}, fmt.Errorf("experiment: city %q: a sharded city run exports no per-cell telemetry; unset Options.Metrics and Options.Hotness", s.Name)
 	}
 	if run.Load < 0 {
 		return cellsim.Result{}, fmt.Errorf("experiment: city %q: negative load %d", s.Name, run.Load)
@@ -53,28 +50,8 @@ func RunCity(s *scenario.Scenario, run CityRun, opts Options) (cellsim.Result, e
 	if err != nil {
 		return cellsim.Result{}, err
 	}
-	var factory AdmitterFactory
-	if run.Tiers != nil {
-		tiers, err := AssignTiers(cfg, *run.Tiers)
-		if err != nil {
-			return cellsim.Result{}, fmt.Errorf("experiment: city %q: assigning tiers: %w", s.Name, err)
-		}
-		topo := cfg.Topology
-		if topo == nil {
-			topo = hexgrid.DiskTopology(hexgrid.Coord{}, cfg.Rings)
-		}
-		ladder := run.Tiers.Tiers
-		factory, err = TieredSchemeFactory(run.Scheme, s, func(cell hexgrid.Coord) int {
-			slot, ok := topo.Of(cell)
-			if !ok {
-				panic(fmt.Sprintf("experiment: cell %v outside the city topology", cell))
-			}
-			return ladder[tiers[slot]].Resolution
-		})
-		if err != nil {
-			return cellsim.Result{}, err
-		}
-	} else if factory, err = ScenarioSchemeFactory(run.Scheme, s, opts); err != nil {
+	factory, err := ScenarioSchemeFactory(run.Scheme, s, opts)
+	if err != nil {
 		return cellsim.Result{}, err
 	}
 	adm := factory()

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"facsp/internal/cellsim"
+	"facsp/internal/hotness"
+	"facsp/internal/metrics"
 	"facsp/internal/scenario"
 )
 
@@ -62,5 +64,29 @@ func TestRunCityUnknownScheme(t *testing.T) {
 	}
 	if _, err := RunCity(s, CityRun{Scheme: "guard", Load: -1, Seed: 1}, Options{}); err == nil {
 		t.Error("negative load accepted")
+	}
+}
+
+// TestRunCityRejectsSinks pins that a city run refuses the telemetry
+// sinks the sharded engine cannot fill, instead of dropping them.
+func TestRunCityRejectsSinks(t *testing.T) {
+	s, err := scenario.Load("metro-city")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := metrics.New(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := hotness.New(1024, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := CityRun{Scheme: "guard", Load: 4, Seed: 1}
+	if _, err := RunCity(s, run, Options{Metrics: reg}); err == nil {
+		t.Error("RunCity accepted Options.Metrics")
+	}
+	if _, err := RunCity(s, run, Options{Hotness: hot}); err == nil {
+		t.Error("RunCity accepted Options.Hotness")
 	}
 }

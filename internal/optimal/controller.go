@@ -66,8 +66,7 @@ func ForCapacity(capacity float64) (*Controller, error) {
 	return NewFromPolicy(got.(*Policy))
 }
 
-// Policy exposes the controller's solved policy (for tests, docs and the
-// learned controller's offline training).
+// Policy exposes the controller's solved policy (for tests and docs).
 func (c *Controller) Policy() *Policy { return c.policy }
 
 // SchemeName implements cac.Named.

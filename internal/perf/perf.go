@@ -26,7 +26,6 @@ import (
 	"facsp/internal/des"
 	"facsp/internal/experiment"
 	"facsp/internal/fuzzy"
-	"facsp/internal/learned"
 	"facsp/internal/optimal"
 	"facsp/internal/scenario"
 )
@@ -177,12 +176,10 @@ func Registry(sc SweepConfig) []Spec {
 		// ablation-defuzz figure studies the fidelity half).
 		{Name: "micro/admit/facsp-height", New: admitFACSPHeight},
 		{Name: "micro/admit/guard", New: admitGuard},
-		// The computed-optimum suite: the value-iteration threshold policy
-		// and the table-compiled learned controller, end-to-end Admit+Release
-		// — both must stay allocation-free table lookups (alloc_test.go gates
-		// allocs, these specs gate ns/op).
+		// The computed optimum: the value-iteration threshold policy,
+		// end-to-end Admit+Release — it must stay an allocation-free table
+		// lookup (its alloc test gates allocs, this spec gates ns/op).
 		{Name: "scheme/optimal", Smoke: true, New: admitOptimal},
-		{Name: "scheme/learned", Smoke: true, New: admitLearned},
 		// Schedule and drain 128 typed events per op; allocation-free in
 		// steady state.
 		{Name: "micro/des/schedule", Smoke: true, New: desSchedule},
@@ -218,14 +215,12 @@ func Registry(sc SweepConfig) []Spec {
 		cityEvalSpec("city/eval/facsp/w4", 4, exact),
 	)
 
-	// The surface suite: the tiered decision-surface selector against the
-	// single-global-fine-surface status quo and exact inference, on the
-	// same metro-city controller bank with the same diverse request stream
-	// (internal/perf/tiers.go).
+	// The surface suite: one global fine (65-tick) surface against exact
+	// inference, on the same metro-city controller bank with the same
+	// diverse request stream (internal/perf/surface.go).
 	specs = append(specs,
-		surfaceTieredSpec("surface/tiered/metro", true),
-		surfaceGlobalFineSpec("surface/global-fine/metro", true),
-		surfaceExactSpec("surface/exact/metro", false),
+		surfaceBankSpec("surface/global-fine/metro", true, 65),
+		surfaceBankSpec("surface/exact/metro", false, 0),
 	)
 
 	// The serving suite: the admission daemon measured over real loopback
@@ -463,16 +458,6 @@ func admitGuard() (Body, error) {
 // setup.
 func admitOptimal() (Body, error) {
 	ctrl, err := optimal.ForCapacity(core.CounterMax)
-	if err != nil {
-		return nil, err
-	}
-	return admitLoop(ctrl), nil
-}
-
-// admitLearned measures the table-compiled learned controller's admission
-// path.
-func admitLearned() (Body, error) {
-	ctrl, err := learned.New(core.CounterMax)
 	if err != nil {
 		return nil, err
 	}

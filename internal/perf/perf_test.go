@@ -70,18 +70,16 @@ func TestSmokeSpecsAreSubset(t *testing.T) {
 	if !found {
 		t.Error("smoke suite does not gate city/metro/guard")
 	}
-	// The tiered decision-surface selector and its status-quo rival must
-	// both be gated so the tiering win stays measured.
-	for _, want := range []string{"surface/tiered/metro", "surface/global-fine/metro"} {
-		found = false
-		for _, s := range smoke {
-			if s.Name == want {
-				found = true
-			}
+	// The global fine surface must be gated so its lookup cost stays
+	// measured.
+	found = false
+	for _, s := range smoke {
+		if s.Name == "surface/global-fine/metro" {
+			found = true
 		}
-		if !found {
-			t.Errorf("smoke suite does not gate %s", want)
-		}
+	}
+	if !found {
+		t.Error("smoke suite does not gate surface/global-fine/metro")
 	}
 }
 
@@ -125,14 +123,14 @@ func TestMeasureMicroSpec(t *testing.T) {
 	}
 }
 
-// TestMeasureSurfaceSpecs runs the tiered and global-fine surface specs
-// end to end: both banks build (ladder anchoring, Preset installs, the
-// shared process surface cache) and both bodies admit without error.
+// TestMeasureSurfaceSpecs runs the surface specs end to end: both banks
+// build (the global-fine one through the shared process surface cache)
+// and both bodies admit without error.
 func TestMeasureSurfaceSpecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing loop")
 	}
-	for _, name := range []string{"surface/tiered/metro", "surface/global-fine/metro"} {
+	for _, name := range []string{"surface/global-fine/metro", "surface/exact/metro"} {
 		specs, err := Filter(Specs(), "^"+name+"$")
 		if err != nil || len(specs) != 1 {
 			t.Fatalf("Filter(%s) = %v specs, err %v", name, len(specs), err)
